@@ -15,6 +15,7 @@ import pytest
 from _util import emit, once
 from repro.core import GreedyScheduler
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.workloads import OnlineWorkload, hotspot_workload
 
@@ -22,11 +23,8 @@ from repro.workloads import OnlineWorkload, hotspot_workload
 def run_congested(graph, capacity, slack, seed=0):
     wl = hotspot_workload(graph, num_cold_objects=4, k_cold=1, seed=seed)
     sim = Simulator(
-        graph,
-        GreedyScheduler(weight_slack=slack),
-        wl,
-        node_egress_capacity=capacity,
-        strict=False,
+        graph, GreedyScheduler(weight_slack=slack), wl,
+        config=SimConfig(node_egress_capacity=capacity, strict=False),
     )
     return sim.run()
 

@@ -13,7 +13,7 @@ then uses the timeline analytics to show where the pressure concentrates.
 Run:  python examples/capacity_planning.py
 """
 
-from repro import GreedyScheduler, Simulator, topologies
+from repro import GreedyScheduler, SimConfig, Simulator, topologies
 from repro.analysis import hottest_nodes, peak_concurrency, render_table, transit_series
 from repro.workloads import OnlineWorkload, ZipfChooser
 
@@ -38,11 +38,8 @@ def main() -> None:
     last_trace = None
     for cap in (None, 4, 2, 1):
         sim = Simulator(
-            graph,
-            GreedyScheduler(),
-            build_workload(graph),
-            node_egress_capacity=cap,
-            strict=False,
+            graph, GreedyScheduler(), build_workload(graph),
+            config=SimConfig(node_egress_capacity=cap, strict=False),
         )
         trace = sim.run()
         if baseline is None:

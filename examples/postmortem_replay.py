@@ -14,7 +14,7 @@ Run:  python examples/postmortem_replay.py
 import os
 import tempfile
 
-from repro import GreedyScheduler, Simulator, certify_trace, topologies
+from repro import GreedyScheduler, SimConfig, Simulator, certify_trace, topologies
 from repro.analysis import run_experiment, run_report, comparison_report
 from repro.core import BucketScheduler, ReplayScheduler
 from repro.offline import ColoringBatchScheduler
@@ -43,12 +43,8 @@ def main() -> None:
     # --- (2) regenerate the workload, (3) replay under congestion ------
     replay_wl = workload_from_trace(trace)
     sim = Simulator(
-        graph,
-        ReplayScheduler(trace),
-        replay_wl,
-        hop_motion=True,
-        link_capacity=1,
-        strict=False,
+        graph, ReplayScheduler(trace), replay_wl,
+        config=SimConfig(transport="hop", link_capacity=1, strict=False),
     )
     congested = sim.run()
     print(

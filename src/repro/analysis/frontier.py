@@ -20,7 +20,9 @@ on the deterministic :mod:`repro.parallel` runtime:
 The result — λ* per scheduler plus the SLO row at the last stable probe
 — is the capacity-planning answer: "how much load can each scheduler
 take on this topology, and what latency tail do you get just below the
-cliff?"  Surfaced on the CLI as ``repro frontier``.
+cliff?"  Surfaced on the CLI as ``repro frontier``.  A scheduler still
+stable at ``lam_max`` is reported as *censored*: its λ* is the range
+edge, only a lower bound on its capacity.
 """
 
 from __future__ import annotations
@@ -94,14 +96,13 @@ def run_probe(probe: FrontierProbe) -> Dict[str, Any]:
 
     graph = _cached_topology(probe.topology)
     scheduler, speed = make_scheduler(probe.scheduler, graph)
-    cfg = SimConfig().with_overrides(object_speed_den=speed)
     result = run_stream(
         graph,
         scheduler,
         probe.workload,
         until=probe.until,
         warmup=probe.warmup,
-        config=cfg,
+        config=SimConfig(object_speed_den=speed),
     )
     row = result.slo.to_dict()
     row["scheduler"] = probe.scheduler
@@ -121,11 +122,15 @@ class SchedulerFrontier:
     stable_slo: Optional[Dict[str, Any]]
     #: every probe this scheduler ran, in execution order
     probes: List[Dict[str, Any]] = field(default_factory=list)
+    #: stable at ``lam_max``: λ* is clipped by the search range and the
+    #: true capacity is only known to be at least ``lambda_star``
+    censored: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "scheduler": self.scheduler,
             "lambda_star": self.lambda_star,
+            "censored": self.censored,
             "stable_slo": self.stable_slo,
             "probes": self.probes,
         }
@@ -316,6 +321,7 @@ def stability_frontier(
                 lambda_star=s.lo,
                 stable_slo=s.lo_row,
                 probes=s.probes,
+                censored=s.lo >= lam_max,
             )
             for s in states
         ],

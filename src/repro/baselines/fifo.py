@@ -20,9 +20,6 @@ from repro.sim.transactions import Transaction
 class FifoSerialScheduler(OnlineScheduler):
     """Serializes all transactions in (arrival time, tid) order."""
 
-    #: Incremental protocol: arrival-driven only.
-    wants_deltas = True
-
     def __init__(self) -> None:
         super().__init__()
         self._horizon: Time = 0
@@ -30,12 +27,10 @@ class FifoSerialScheduler(OnlineScheduler):
         #: drains (home of its last planned requester)
         self._planned_pos: Dict[ObjectId, NodeId] = {}
 
-    def on_deltas(self, t: Time, deltas) -> None:
-        if deltas.arrived:
-            self.on_step(t, deltas.arrived)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
         assert self.sim is not None
+        if not new_txns:
+            return
         speed = self.sim.object_speed_den
         graph = self.sim.graph
         for txn in sorted(new_txns, key=lambda x: x.tid):

@@ -237,6 +237,22 @@ def make_faults(args, graph: Graph):
     )
 
 
+def resolve_transport(args) -> str:
+    """The ``--transport`` choice; without one, ``--link-capacity``
+    implies the hop transport it needs and everything else moves
+    directly."""
+    link_capacity = getattr(args, "link_capacity", None)
+    transport = getattr(args, "transport", None)
+    if transport is None:
+        return "hop" if link_capacity else "direct"
+    if transport == "direct" and link_capacity:
+        raise SystemExit(
+            "--link-capacity requires a hop transport "
+            "(use --transport hop, or drop --transport direct)"
+        )
+    return transport
+
+
 def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
     """Translate CLI knobs into one SimConfig.
 
@@ -245,22 +261,9 @@ def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
     their schedules target the congestion-free model and the deferral
     count is the measurement.  Fault runs (--faults) stay strict: misses
     route through the recovery machinery, not the deferral path.
-
-    ``--transport`` selects the motion model explicitly; without it the
-    legacy inference applies (``--hop-motion`` or ``--link-capacity``
-    imply the hop transport).
     """
     link_capacity = getattr(args, "link_capacity", None)
     node_capacity = getattr(args, "node_capacity", None)
-    transport = getattr(args, "transport", None)
-    if transport == "direct":
-        if link_capacity:
-            raise SystemExit(
-                "--link-capacity requires a hop transport "
-                "(use --transport hop, or drop --transport direct)"
-            )
-        if getattr(args, "hop_motion", False):
-            raise SystemExit("--transport direct conflicts with --hop-motion")
     congested = bool(link_capacity or node_capacity)
     checkpoint = getattr(args, "checkpoint", None)
     return SimConfig(
@@ -269,11 +272,9 @@ def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
         object_speed_den=max(speed, args.object_speed),
         strict=not congested,
         node_egress_capacity=node_capacity,
-        hop_motion=transport != "direct"
-        and (getattr(args, "hop_motion", False) or bool(link_capacity)),
         link_capacity=link_capacity,
         probe=probe,
-        transport=transport,
+        transport=resolve_transport(args),
         faults=faults,
         checkpoint_path=checkpoint,
         checkpoint_every=(
@@ -573,7 +574,7 @@ def cmd_frontier(args) -> int:
         slo = s.stable_slo
         rows.append([
             s.scheduler,
-            round(s.lambda_star, 4),
+            f"≥ {round(s.lambda_star, 4)}" if s.censored else round(s.lambda_star, 4),
             round(slo["throughput"], 3) if slo else "-",
             slo["p50"] if slo else "-",
             slo["p99"] if slo else "-",
@@ -591,8 +592,9 @@ def cmd_frontier(args) -> int:
             fh.write(render_table(header, rows, title=None))
             fh.write(
                 f"\nλ* is the largest probed arrival rate with a stable "
-                f"verdict; latencies are the p50/p99/p999 commit latency at "
-                f"λ*.  {res.probe_count} probes total.\n"
+                f"verdict (≥ marks a scheduler still stable at the top of "
+                f"the range); latencies are the p50/p99/p999 commit latency "
+                f"at λ*.  {res.probe_count} probes total.\n"
             )
     if args.json:
         print(json.dumps(res.to_dict(), indent=2))
@@ -757,7 +759,7 @@ def cmd_replay(args) -> int:
         workload_from_trace(trace),
         config=SimConfig(
             object_speed_den=trace.object_speed_den,
-            hop_motion=args.hop_motion or bool(args.link_capacity),
+            transport=resolve_transport(args),
             link_capacity=args.link_capacity,
             node_egress_capacity=args.node_capacity,
             strict=False,
@@ -1023,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--object-speed", type=int, default=1)
         p.add_argument("--transport", choices=["direct", "hop"], default=None,
                        help="object motion model (default: direct, or hop when "
-                            "--hop-motion/--link-capacity are given)")
+                            "--link-capacity is given)")
         p.add_argument("--json", action="store_true")
         p.add_argument("--obs-counters", action="store_true",
                        help="attach a CountersProbe; print/emit its summary")
@@ -1043,9 +1045,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--lazy", action="store_true", help="lazy object departure")
     p_run.add_argument("--trace", help="write the execution trace to this JSON file")
     p_run.add_argument("--report", help="write a markdown run report to this file")
-    p_run.add_argument("--hop-motion", action="store_true", help="edge-by-edge object motion")
     p_run.add_argument("--link-capacity", type=int, default=None,
-                       help="max concurrent traversals per edge (implies hop motion)")
+                       help="max concurrent traversals per edge (implies "
+                            "--transport hop)")
     p_run.add_argument("--node-capacity", type=int, default=None,
                        help="max object departures per node per step")
     p_run.add_argument("--monitor", action="store_true",
@@ -1203,7 +1205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="re-certify and replay an archived trace")
     p_rep.add_argument("--topology", required=True)
     p_rep.add_argument("--trace", required=True, help="trace JSON written by `run --trace`")
-    p_rep.add_argument("--hop-motion", action="store_true")
+    p_rep.add_argument("--transport", choices=["direct", "hop"], default=None,
+                       help="object motion model (default: direct, or hop when "
+                            "--link-capacity is given)")
     p_rep.add_argument("--link-capacity", type=int, default=None)
     p_rep.add_argument("--node-capacity", type=int, default=None)
     p_rep.add_argument("--json", action="store_true")

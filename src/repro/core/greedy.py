@@ -17,9 +17,9 @@ Guarantees reproduced by the tests and experiment E1/E2/E3:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional, Set
 
-from repro._types import Time, Weight
+from repro._types import ObjectId, Time, Weight
 from repro.core.base import OnlineScheduler
 from repro.core.coloring import min_valid_color, min_valid_color_multiple
 from repro.core.dependency import constraints_for
@@ -69,53 +69,46 @@ class GreedyScheduler(OnlineScheduler):
         #: analysis hook: (tid, color, theorem_bound) per scheduled txn
         self.color_log: List[tuple] = []
 
-    #: Greedy only reacts to arrivals, so the incremental protocol costs
-    #: nothing extra; it buys the shared constraint memo below.
-    wants_deltas = True
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        if deltas.arrived:
-            self._color_batch(t, deltas.arrived)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
         assert self.sim is not None, "scheduler not bound to a simulator"
         if not new_txns:
             return
-        self._color_batch(t, new_txns)
-
-    def _color_batch(self, t: Time, new_txns: List[Transaction]) -> None:
         sim = self.sim
-        index = getattr(sim, "pending", None)
-        if index is not None:
-            # Each constraint set is computed once into the shared
-            # within-step memo; the degree ordering's sort key fills it
-            # and the coloring loop below reuses it.  The memo
-            # re-derives an entry only when a same-step scheduling
-            # decision touched one of the transaction's conflict
-            # neighbours — any live holder of a shared object is such a
-            # neighbour, so the recomputed set equals what a fresh
-            # full evaluation would return.
-            fetch = index.constraints
-        else:
-            # State views / hand-rolled simulators without the index:
-            # plain per-call evaluation (the original behaviour).
-            def fetch(txn, *, now):
-                return constraints_for(sim, txn, now=now)
-
-        txns = list(new_txns)
-        if self.order == "degree":
-            txns.sort(key=lambda x: (len(fetch(x, now=t)), x.tid))
-        for txn in txns:
-            cons = fetch(txn, now=t)
-            if self.weight_slack:
-                cons = [(c, w + self.weight_slack if w > 0 else w) for c, w in cons]
-            if self.uniform_beta is not None:
-                color = self._uniform_color(cons, t)
+        if self.order == "arrival":
+            for txn in new_txns:
+                self._color(t, txn, constraints_for(sim, txn, now=t))
+            return
+        # Degree order: the constraint lists computed for the sort key are
+        # reused when coloring, unless a batch member colored earlier in
+        # this call conflicts with the transaction (writes an object it
+        # accesses, or reads an object it writes) — only such a member
+        # adds a constraint, so the reused list equals a fresh evaluation.
+        cons_of = {txn.tid: constraints_for(sim, txn, now=t) for txn in new_txns}
+        written: Set[ObjectId] = set()
+        read: Set[ObjectId] = set()
+        for txn in sorted(new_txns, key=lambda x: (len(cons_of[x.tid]), x.tid)):
+            if (
+                written.isdisjoint(txn.objects)
+                and written.isdisjoint(txn.reads)
+                and read.isdisjoint(txn.objects)
+            ):
+                cons = cons_of[txn.tid]
             else:
-                color = min_valid_color(cons)
-            self.color_log.append((txn.tid, color, self._bound(cons)))
-            self.emit("color", t, tid=txn.tid, color=color, constraints=len(cons))
-            sim.commit_schedule(txn, t + color)
+                cons = constraints_for(sim, txn, now=t)
+            self._color(t, txn, cons)
+            written.update(txn.objects)
+            read.update(txn.reads)
+
+    def _color(self, t: Time, txn: Transaction, cons) -> None:
+        if self.weight_slack:
+            cons = [(c, w + self.weight_slack if w > 0 else w) for c, w in cons]
+        if self.uniform_beta is not None:
+            color = self._uniform_color(cons, t)
+        else:
+            color = min_valid_color(cons)
+        self.color_log.append((txn.tid, color, self._bound(cons)))
+        self.emit("color", t, tid=txn.tid, color=color, constraints=len(cons))
+        self.sim.commit_schedule(txn, t + color)
 
     def _uniform_color(self, cons, t: Time) -> Weight:
         """Lemma 2 online: execution at *absolute* multiples of beta.

@@ -1,9 +1,8 @@
-"""Shared pending-transaction index for incremental scheduling.
+"""Shared pending-transaction index.
 
-:class:`PendingIndex` (``sim.pending``) is the engine-maintained
-companion to the delta feed (:class:`repro.core.dependency.StepDeltas`):
-where the feed says *what changed*, the index answers the recurring
-scheduler queries in O(changed) instead of O(pending):
+:class:`PendingIndex` (``sim.pending``) answers the recurring scheduler
+queries about not-yet-executed transactions in O(1) or O(column) instead
+of scanning the live set:
 
 * **Unscheduled set** — the live transactions still waiting for an
   execution time, in arrival order.  Invariant: ``_unscheduled`` equals
@@ -17,26 +16,17 @@ scheduler queries in O(changed) instead of O(pending):
   live accessor sets per query.  Invariant: ``sched_writers[idx]``
   equals ``{tid: txn for txn in sim.live_requesters(oid) if
   txn.exec_time is not None}``.
-* **Constraint memo** — a within-step cache of
-  :func:`repro.core.dependency.constraints_for` results, invalidated per
-  transaction when a conflict neighbour is (un)scheduled mid-step.  The
-  greedy scheduler's degree ordering computes every constraint set once
-  into this memo and re-derives only the entries a same-step scheduling
-  decision actually touched.
 
 The engine feeds the index from the same lifecycle sites that feed the
 dependency tracker (generate, schedule, recover, expire, commit), so it
-is always consistent with the live set regardless of which scheduler —
-incremental or legacy full-scan — is bound.
+is always consistent with the live set whichever scheduler is bound.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro._types import NodeId, Time, TxnId
-from repro.core.coloring import Constraint
-from repro.core.dependency import constraints_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.sim.engine import Simulator
@@ -44,18 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 
 
 class PendingIndex:
-    """Per-object wait columns, cached constraint sets, and the
-    unscheduled set (see module docstring for the invariants)."""
+    """Per-object wait columns and the unscheduled set (see module
+    docstring for the invariants)."""
 
-    __slots__ = (
-        "sim",
-        "_unscheduled",
-        "sched_writers",
-        "sched_readers",
-        "_memo",
-        "_memo_t",
-        "_stale",
-    )
+    __slots__ = ("sim", "_unscheduled", "sched_writers", "sched_readers")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -64,11 +46,6 @@ class PendingIndex:
         #: per-object columns of *scheduled* waiting accessors
         self.sched_writers: List[Dict[TxnId, "Transaction"]] = []
         self.sched_readers: List[Dict[TxnId, "Transaction"]] = []
-        #: within-step constraints_for memo: valid only while now == _memo_t
-        self._memo: Dict[TxnId, List[Constraint]] = {}
-        self._memo_t: Time = -1
-        #: memo entries invalidated by a same-step scheduling change
-        self._stale: Set[TxnId] = set()
 
     # -- engine lifecycle hooks ---------------------------------------
     def add_object_slot(self) -> None:
@@ -81,81 +58,36 @@ class PendingIndex:
 
     def note_scheduled(self, txn: "Transaction") -> None:
         """``commit_schedule`` fixed ``txn``'s execution time."""
-        sim = self.sim
-        self._unscheduled.pop(txn.tid, None)
-        objects = sim.objects
         tid = txn.tid
+        self._unscheduled.pop(tid, None)
+        objects = self.sim.objects
         for oid in txn.objects:
             self.sched_writers[objects[oid].index][tid] = txn
         for oid in txn.reads:
             self.sched_readers[objects[oid].index][tid] = txn
-        # Pending conflict neighbours gained a constraint: drop their
-        # memo entries and feed the cross-step dirty set.
-        deps = sim.deps
-        nbrs = deps.adj.get(tid)
-        if nbrs:
-            self._stale.update(nbrs)
-            if deps.collect:
-                deps._d_dirty.update(nbrs)
 
     def on_unschedule(self, txn: "Transaction") -> None:
         """Recovery revoked ``txn``'s execution time (fault layer)."""
-        sim = self.sim
-        tid = txn.tid
-        self._unscheduled[tid] = txn
-        objects = sim.objects
-        for oid in txn.objects:
-            self.sched_writers[objects[oid].index].pop(tid, None)
-        for oid in txn.reads:
-            self.sched_readers[objects[oid].index].pop(tid, None)
-        self._stale.add(tid)
-        deps = sim.deps
-        nbrs = deps.adj.get(tid)
-        if nbrs:
-            self._stale.update(nbrs)
-            if deps.collect:
-                deps._d_dirty.add(tid)
-                deps._d_dirty.update(nbrs)
+        self._unscheduled[txn.tid] = txn
+        self._drop_columns(txn)
 
     def on_retire(self, txn: "Transaction") -> None:
         """``txn`` left the live set (commit or deadline expiry)."""
+        self._unscheduled.pop(txn.tid, None)
+        self._drop_columns(txn)
+
+    def _drop_columns(self, txn: "Transaction") -> None:
         tid = txn.tid
-        self._unscheduled.pop(tid, None)
         objects = self.sim.objects
         for oid in txn.objects:
             self.sched_writers[objects[oid].index].pop(tid, None)
         for oid in txn.reads:
             self.sched_readers[objects[oid].index].pop(tid, None)
 
-    def invalidate_all(self) -> None:
-        """Topology changed: every memoised constraint set is suspect."""
-        self._memo.clear()
-        self._stale.clear()
-
     # -- queries ------------------------------------------------------
     @property
     def has_unscheduled(self) -> bool:
         return bool(self._unscheduled)
-
-    def unscheduled_count(self) -> int:
-        return len(self._unscheduled)
-
-    def constraints(self, txn: "Transaction", *, now: Time) -> List[Constraint]:
-        """Memoised ``constraints_for``: at most one recomputation per
-        transaction per step unless a same-step scheduling decision
-        touched one of its conflict neighbours."""
-        if now != self._memo_t:
-            self._memo.clear()
-            self._stale.clear()
-            self._memo_t = now
-        tid = txn.tid
-        memo = self._memo
-        cons = memo.get(tid)
-        if cons is None or tid in self._stale:
-            cons = constraints_for(self.sim, txn, now=now)
-            memo[tid] = cons
-            self._stale.discard(tid)
-        return cons
 
     def scheduled_writer_pairs(self, index: int, now: Time) -> List[Tuple[Time, NodeId]]:
         """``(remaining_time, home)`` pairs of scheduled waiting writers

@@ -1,4 +1,4 @@
-"""Checkpoint/restore for long simulations (schema ``repro.checkpoint/1``).
+"""Checkpoint/restore for long simulations (schema ``repro.checkpoint/2``).
 
 A checkpoint is one file with two parts:
 
@@ -59,7 +59,7 @@ __all__ = [
     "close_probes",
 ]
 
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
+CHECKPOINT_SCHEMA = "repro.checkpoint/2"
 
 
 def _digest(*parts: Any) -> str:

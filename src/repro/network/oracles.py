@@ -237,7 +237,7 @@ class HypercubeOracle(DistanceOracle):
         self.w = weight
 
     def distance(self, u: NodeId, v: NodeId) -> Weight:
-        # bin().count keeps 3.9 compatibility (int.bit_count is 3.10+).
+        # bin().count also accepts numpy integer node ids.
         return bin(u ^ v).count("1") * self.w
 
     def eccentricity(self, u: NodeId) -> Weight:

@@ -1,18 +1,12 @@
 """SimConfig: one frozen value object for every engine knob.
 
-The :class:`~repro.sim.engine.Simulator` grew nine keyword parameters;
-call sites that need to thread them through layers (``run_experiment``,
-``replicate``, the CLI, suite files) ended up re-declaring each knob at
-every level — and drifting (``run_experiment`` could not express
-``hop_motion`` / ``link_capacity`` / ``strict`` runs at all).
-:class:`SimConfig` consolidates them:
+Call sites that thread engine settings through layers
+(``run_experiment``, ``replicate``, the CLI, suite files) pass one
+:class:`SimConfig` instead of re-declaring each knob at every level::
 
-    Simulator(g, sched, wl, config=SimConfig(hop_motion=True, link_capacity=1))
+    Simulator(g, sched, wl, config=SimConfig(transport="hop", link_capacity=1))
 
-The old keyword arguments remain accepted everywhere; an explicitly
-passed keyword wins over the corresponding ``config`` field (and the
-combination is a deprecation-path convenience, not a recommended style —
-pass one ``SimConfig`` instead).
+It is the only way to configure a :class:`~repro.sim.engine.Simulator`.
 """
 
 from __future__ import annotations
@@ -28,42 +22,49 @@ from repro.obs.probe import Probe
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Engine configuration (see :class:`repro.sim.engine.Simulator` for
-    the semantics of each knob).
+    """Engine configuration.
 
     Attributes
     ----------
     departure_policy:
-        ``EAGER`` (paper default) or ``LAZY`` just-in-time departures.
+        ``EAGER`` (paper default: forward on commit) or ``LAZY``
+        (just-in-time departure; ablation E11).
     object_speed_den:
-        Time steps per unit distance for objects (2 = half speed).
+        Time steps per unit distance for *objects*; 2 enables the
+        half-speed rule of Algorithm 3.
     strict:
-        Missing objects at execution are a hard error (True) or recorded
-        deferrals (False).
+        If True, a transaction missing objects at its execution step is a
+        hard error (:class:`~repro.errors.InfeasibleScheduleError`).  If
+        False the execution is deferred step by step and a
+        :class:`~repro.sim.trace.Violation` is recorded.
     one_txn_per_node:
-        Enforce at most one live transaction per node.
+        Enforce the paper's scheduling-problem constraint that each node
+        holds at most one live transaction at a time.
     node_egress_capacity:
-        Max object departures per node per step (None = unbounded);
-        applied as an :class:`~repro.sim.transport.EgressCapacity`
-        decorator around the selected transport.
-    hop_motion:
-        Legacy spelling of ``transport="hop"`` (move objects edge by
-        edge instead of whole shortest-path legs).
+        Section VI's congestion question: at most this many objects may
+        *depart* any single node per step (None = unbounded); excess
+        departures wait for the next step.  Applied as an
+        :class:`~repro.sim.transport.EgressCapacity` decorator around the
+        selected transport.  Schedules computed for the congestion-free
+        model may then miss deadlines, so congestion studies run with
+        ``strict=False`` and measure the deferrals (bench E13).
     link_capacity:
-        Max concurrent traversals per edge; requires a hop transport.
-        Applied as a :class:`~repro.sim.transport.LinkCapacity`
-        decorator.
+        Section VI's bounded link capacity: at most this many objects may
+        traverse any single edge concurrently (both directions combined).
+        Requires a hop transport; applied as a
+        :class:`~repro.sim.transport.LinkCapacity` decorator (bench E20).
     max_time:
         Stop the run loop beyond this simulation time (None = run to
         quiescence).
     probe:
         Observability probe (:mod:`repro.obs`); None means the zero
-        overhead :class:`~repro.obs.probe.NullProbe`.
+        overhead :class:`~repro.obs.probe.NullProbe`: no callback is ever
+        invoked and traces are byte-identical to an un-instrumented run.
     transport:
         Object-motion strategy (:mod:`repro.sim.transport`): ``"direct"``
         (whole shortest-path legs, the paper default), ``"hop"``
-        (edge-by-edge), or a :class:`~repro.sim.transport.Transport`
-        instance.  ``None`` defers to the legacy ``hop_motion`` flag.
+        (edge-by-edge, one trace leg per hop, route re-evaluated at every
+        node), or a :class:`~repro.sim.transport.Transport` instance.
         Custom instances are used as given (their ``kind`` attribute
         participates in validation); the capacity knobs above always
         wrap the selected base.
@@ -119,11 +120,10 @@ class SimConfig:
     strict: bool = True
     one_txn_per_node: bool = False
     node_egress_capacity: Optional[int] = None
-    hop_motion: bool = False
     link_capacity: Optional[int] = None
     max_time: Optional[Time] = None
     probe: Optional[Probe] = None
-    transport: Optional[object] = None
+    transport: object = "direct"
     faults: Optional[object] = None
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
@@ -146,16 +146,16 @@ class SimConfig:
         ``__post_init__``) or building one programmatically can re-check
         explicitly.
         """
-        if isinstance(self.transport, str) and self.transport not in ("direct", "hop"):
+        if self.transport is None or (
+            isinstance(self.transport, str) and self.transport not in ("direct", "hop")
+        ):
             raise WorkloadError(
-                f"unknown transport {self.transport!r} (choose 'direct' or 'hop')"
+                f"unknown transport {self.transport!r} (choose 'direct', 'hop', "
+                "or a Transport instance)"
             )
-        if self.transport is not None and self.hop_motion and self.transport_kind == "direct":
-            raise WorkloadError("transport='direct' conflicts with hop_motion=True")
         if self.link_capacity is not None and self.transport_kind == "direct":
             raise WorkloadError(
-                "link_capacity requires a hop transport "
-                "(hop_motion=True or transport='hop')"
+                "link_capacity requires a hop transport (transport='hop')"
             )
         if self.link_capacity is not None and self.link_capacity < 1:
             raise WorkloadError(
@@ -216,11 +216,8 @@ class SimConfig:
     def transport_kind(self) -> str:
         """Resolved motion granularity: "direct", "hop", or "custom".
 
-        ``transport=None`` resolves through the legacy ``hop_motion``
-        flag; transport instances report their own ``kind``.
+        Transport instances report their own ``kind``.
         """
-        if self.transport is None:
-            return "hop" if self.hop_motion else "direct"
         if isinstance(self.transport, str):
             return self.transport
         return getattr(self.transport, "kind", "custom")
@@ -228,14 +225,3 @@ class SimConfig:
     def replace(self, **changes) -> "SimConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
-
-    def with_overrides(self, **overrides) -> "SimConfig":
-        """A copy where every non-``None`` override wins.
-
-        This is the kwargs-beat-config merge rule used by
-        :class:`~repro.sim.engine.Simulator` and
-        :func:`~repro.analysis.experiments.run_experiment` for backward
-        compatibility with the pre-``SimConfig`` keyword API.
-        """
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **changes) if changes else self

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro._compat import slotted_dataclass
 from repro._types import NodeId, Time
 from repro.network.graph import Graph
 
 DeliveryCallback = Callable[[Time, "Message"], None]
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """An in-flight control message.
 

@@ -11,16 +11,15 @@ is therefore ``(a - t) + speed * d(v, u)``.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro._compat import slotted_dataclass
 from repro._types import NodeId, ObjectId, Time, TxnId
 from repro.errors import SchedulingError
 from repro.network.graph import Graph
 
 
-@slotted_dataclass()
+@dataclass(slots=True)
 class SharedObject:
     """State of one mobile object.
 
@@ -169,7 +168,7 @@ class SharedObject:
                 self.read_epoch[entry.tid] = self.read_epoch.get(entry.tid, 0) + 1
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueEntry:
     """One scheduled requester of an object."""
 

@@ -8,14 +8,13 @@ scheduler bug cannot silently produce an impossible "good" schedule.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro._compat import slotted_dataclass
 from repro._types import NodeId, ObjectId, Time, TxnId
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectLeg:
     """One uninterrupted movement of an object between two nodes."""
 
@@ -26,7 +25,7 @@ class ObjectLeg:
     arrive_time: Time
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CopyLeg:
     """One copy shipment to a reader (read/write extension).
 
@@ -44,7 +43,7 @@ class CopyLeg:
     version: int
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnRecord:
     """Immutable summary of one transaction's life."""
 
@@ -66,7 +65,7 @@ class TxnRecord:
         return tuple(sorted(set(self.objects) | set(self.reads)))
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """A feasibility violation observed by the engine (non-strict mode)."""
 
@@ -78,7 +77,7 @@ class Violation:
         return f"txn {self.tid} at t={self.time} missing objects {list(self.missing)}"
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultRecord:
     """One injected fault (:mod:`repro.faults`), as it actually fired.
 
@@ -134,7 +133,7 @@ class FaultRecord:
         return f"{self.kind}({', '.join(bits)})"
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RescheduleRecord:
     """One recovery action: a transaction missed its committed execution
     time (lost/late object or crashed home node) and was re-scheduled."""
@@ -153,7 +152,7 @@ class RescheduleRecord:
         )
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShedRecord:
     """One transaction spec rejected at the admission front door
     (:mod:`repro.service`) — it never received a transaction id.
@@ -177,7 +176,7 @@ class ShedRecord:
         )
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpiredRecord:
     """One admitted transaction cancelled mid-flight because its deadline
     passed before it executed (:mod:`repro.service`).  The engine
@@ -196,7 +195,7 @@ class ExpiredRecord:
         )
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipRecord:
     """One elastic-membership transition as it actually took effect
     (:class:`repro.faults.MembershipPlan`).
@@ -217,7 +216,7 @@ class MembershipRecord:
         return f"{self.kind}(node={self.node}, t={self.time}{extra})"
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionRecord:
     """One network-partition window as it actually took effect
     (:mod:`repro.faults`): the edges of ``cut`` were severed for
@@ -237,7 +236,7 @@ class PartitionRecord:
         return f"partition([{self.start}, {self.end}), cut {{{edges}}})"
 
 
-@slotted_dataclass()
+@dataclass(slots=True)
 class ExecutionTrace:
     """Everything that happened in one simulation run."""
 

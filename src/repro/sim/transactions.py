@@ -7,13 +7,13 @@ it has assembled all of them; all delay in the model is communication.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from repro._compat import slotted_dataclass
 from repro._types import NodeId, ObjectId, Time, TxnId, TxnState
 
 
-@slotted_dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnSpec:
     """A workload-level description of a transaction to be generated.
 
@@ -49,7 +49,7 @@ class TxnSpec:
             )
 
 
-@slotted_dataclass()
+@dataclass(slots=True)
 class Transaction:
     """A transaction pinned to ``home``.
 

@@ -171,6 +171,21 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["replayed_makespan"] >= out["archived_makespan"]
 
+    def test_replay_accepts_transport(self, tmp_path, capsys):
+        trace_file = tmp_path / "t.json"
+        main([
+            "run", "--topology", "line:10", "--workload", "hotspot",
+            "--trace", str(trace_file), "--json",
+        ])
+        capsys.readouterr()
+        rc = main([
+            "replay", "--topology", "line:10", "--trace", str(trace_file),
+            "--transport", "hop", "--json",
+        ])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["replayed_makespan"] == out["archived_makespan"]
+
     def test_replay_rejects_corrupt_archive(self, tmp_path, capsys):
         import json as _json
 
@@ -238,12 +253,24 @@ class TestCommands:
                 "--transport", "direct", "--link-capacity", "1", "--json",
             ])
 
-    def test_run_rejects_direct_transport_with_hop_motion(self):
-        with pytest.raises(SystemExit, match="hop"):
+    def test_run_hop_motion_flag_removed(self, capsys):
+        """``--transport hop`` is the one spelling of hop motion."""
+        with pytest.raises(SystemExit):
             main([
                 "run", "--topology", "line:10", "--workload", "hotspot",
-                "--transport", "direct", "--hop-motion", "--json",
+                "--hop-motion", "--json",
             ])
+        assert "--hop-motion" in capsys.readouterr().err
+
+    def test_link_capacity_alone_implies_hop(self, tmp_path, capsys):
+        trace_file = tmp_path / "t.json"
+        rc = main([
+            "run", "--topology", "line:10", "--workload", "hotspot",
+            "--link-capacity", "1", "--trace", str(trace_file), "--json",
+        ])
+        assert rc == 0
+        legs = json.loads(trace_file.read_text())["legs"]
+        assert legs and all(abs(leg[2] - leg[3]) == 1 for leg in legs)
 
     def test_compare_accepts_transport(self, capsys):
         rc = main([

@@ -155,6 +155,26 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="bad header"):
             inspect_checkpoint(path)
 
+    def test_schema_1_payload_rejected_by_name(self, tmp_path):
+        """A ``repro.checkpoint/1`` snapshot pickles the older engine
+        layout; it must fail with a CheckpointError naming both schemas,
+        never an AttributeError/TypeError from unpickling."""
+        sim = _build("greedy", None, tmp_path)
+        sim.run_until(10)
+        path = save_checkpoint(sim, os.path.join(str(tmp_path), "old.bin"))
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        header["schema"] = "repro.checkpoint/1"
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + payload)
+        for read in (inspect_checkpoint, load_checkpoint, Simulator.restore):
+            with pytest.raises(CheckpointError) as err:
+                read(path)
+            assert "repro.checkpoint/1" in str(err.value)
+            assert CHECKPOINT_SCHEMA in str(err.value)
+        assert CHECKPOINT_SCHEMA == "repro.checkpoint/2"
+
     def test_config_rejects_bad_checkpoint_interval(self):
         with pytest.raises(WorkloadError, match="checkpoint_every"):
             SimConfig(checkpoint_every=0, checkpoint_path="x.bin")

@@ -6,6 +6,7 @@ from repro._types import DeparturePolicy, TxnState
 from repro.core.base import OnlineScheduler
 from repro.errors import InfeasibleScheduleError, SchedulingError, WorkloadError
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.transactions import TxnSpec
 from repro.sim.validate import certify_trace
@@ -29,9 +30,11 @@ class NullScheduler(OnlineScheduler):
         pass
 
 
-def line_sim(offsets, specs, placement, n=8, **kw):
+def line_sim(offsets, specs, placement, n=8, **config):
     wl = ManualWorkload(placement, specs)
-    return Simulator(topologies.line(n), ScriptedScheduler(offsets), wl, **kw)
+    return Simulator(
+        topologies.line(n), ScriptedScheduler(offsets), wl, config=SimConfig(**config)
+    )
 
 
 class TestBasicExecution:
@@ -140,7 +143,8 @@ class TestArrivalHandling:
         specs = [TxnSpec(0, 2, (0,)), TxnSpec(0, 2, (1,))]
         wl = ManualWorkload({0: 2, 1: 2}, specs)
         sim = Simulator(
-            topologies.line(4), ScriptedScheduler({2: 1}), wl, one_txn_per_node=True
+            topologies.line(4), ScriptedScheduler({2: 1}), wl,
+            config=SimConfig(one_txn_per_node=True),
         )
         with pytest.raises(WorkloadError):
             sim.run()

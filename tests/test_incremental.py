@@ -1,172 +1,43 @@
-"""Differential suite for the incremental (delta-driven) scheduling path.
+"""Oracle matrix for the engine's incrementally maintained structures.
 
-The engine can feed a scheduler either the legacy full per-step call
-(``on_step(t, new_txns)``) or the incremental delta feed
-(``on_deltas(t, StepDeltas)`` backed by the shared pending index — see
-docs/performance.md).  The two paths must be *observationally identical*:
-for every bundled scheduler, every workload regime, and several seeds,
-the serialized execution traces must match byte for byte.
-
-The fallback path is forced engine-side (``sim._sched_wants_deltas =
-False`` plus ``sim.deps.collect = False`` right after construction) so
-the very same scheduler object model is exercised — including schedulers
-whose ``wants_deltas`` is a read-only property (adaptive).  Schedulers
-that never opted in (e.g. tsp) run the same code twice; the assertion is
-then trivially true and guards against accidental future divergence.
+The dependency tracker's conflict adjacency and the pending index are
+updated by delta at every lifecycle event instead of being rebuilt.  Every
+bundled scheduler runs here in four workload regimes and three seeds under
+the independent oracle of ``tests/test_dependency.py``
+(:func:`run_under_oracle`): each constraint query is compared with the
+full scan, the pending index with its definition after every step, and
+plain greedy's commits with a fresh Algorithm 1 coloring.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.cli import SCHEDULER_NAMES, make_scheduler
-from repro.faults import CrashWindow, FaultPlan, PartitionWindow
-from repro.network import topologies
-from repro.service.config import ServiceConfig
-from repro.sim.config import SimConfig
-from repro.sim.engine import Simulator
-from repro.sim.serialize import trace_to_dict
-from repro.workloads.arrivals import OnlineWorkload
-from repro.workloads.streaming import PoissonOpenWorkload
+from repro.cli import SCHEDULER_NAMES
+from test_dependency import run_under_oracle
 
 SEEDS = (0, 1, 2)
-
-#: 2x3 grid: small enough for 300+ runs, non-trivial diameter, and the
-#: cluster/star batch planners take their (feasible) fallback orders.
-def _graph():
-    return topologies.grid([2, 3])
-
-
-def _run(name: str, *, seed: int, mode: str, incremental: bool) -> dict:
-    g = _graph()
-    sched, speed = make_scheduler(name, g)
-    config = None
-    run_kwargs = {}
-    if mode == "closed":
-        wl = OnlineWorkload.bernoulli(g, 6, 2, rate=0.2, horizon=10, seed=seed)
-    elif mode == "streaming":
-        wl = PoissonOpenWorkload(g, 0.6, num_objects=6, k=2, seed=seed)
-        run_kwargs["until"] = 24
-    elif mode == "faulty":
-        wl = OnlineWorkload.bernoulli(g, 6, 2, rate=0.2, horizon=10, seed=seed)
-        edge = next(iter(g.edges()))
-        config = SimConfig(
-            faults=FaultPlan(
-                seed=seed,
-                drop_prob=0.15,
-                crashes=(CrashWindow(1, 3, 8),),
-                partitions=(PartitionWindow(((edge[0], edge[1]),), 5, 10),),
-            )
-        )
-    elif mode == "service":
-        wl = PoissonOpenWorkload(g, 0.8, num_objects=6, k=2, seed=seed)
-        config = SimConfig(
-            service=ServiceConfig(policy="deadline-edf", deadline=20, queue_cap=8)
-        )
-        run_kwargs["until"] = 24
-    else:  # pragma: no cover - parametrization guard
-        raise AssertionError(mode)
-
-    sim = Simulator(g, sched, wl, config=config, object_speed_den=speed)
-    if not incremental:
-        # Force the legacy full-scan dispatch without touching the
-        # scheduler: the engine resolves the protocol choice once, here.
-        sim._sched_wants_deltas = False
-        sim.deps.collect = False
-    trace = sim.run(**run_kwargs)
-    return trace_to_dict(trace)
-
-
-def _assert_identical(name: str, *, seed: int, mode: str) -> None:
-    inc = _run(name, seed=seed, mode=mode, incremental=True)
-    full = _run(name, seed=seed, mode=mode, incremental=False)
-    # Byte-identical serialized form, not merely equal structures.
-    assert json.dumps(inc, sort_keys=True) == json.dumps(full, sort_keys=True), (
-        f"incremental vs full-scan trace divergence: "
-        f"scheduler={name} mode={mode} seed={seed}"
-    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_closed_runs_identical(name, seed):
-    _assert_identical(name, seed=seed, mode="closed")
+    run_under_oracle(name, seed=seed, mode="closed")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_streaming_runs_identical(name, seed):
-    _assert_identical(name, seed=seed, mode="streaming")
+    run_under_oracle(name, seed=seed, mode="streaming")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_faulty_runs_identical(name, seed):
-    _assert_identical(name, seed=seed, mode="faulty")
+    run_under_oracle(name, seed=seed, mode="faulty")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_service_runs_identical(name, seed):
-    _assert_identical(name, seed=seed, mode="service")
-
-
-def test_delta_feed_matches_arrivals():
-    """The delta feed's ``arrived`` stream equals the legacy ``new_txns``
-    argument step for step (recorded via a shim scheduler)."""
-    from repro.core.base import OnlineScheduler
-
-    class Recorder(OnlineScheduler):
-        wants_deltas = True
-
-        def __init__(self):
-            super().__init__()
-            self.seen = []
-            self._horizon = 0
-
-        def on_deltas(self, t, deltas):
-            self.seen.append((t, tuple(x.tid for x in deltas.arrived)))
-            super().on_deltas(t, deltas)
-
-        def on_step(self, t, new_txns):
-            # Serialize with a gap larger than any travel time (diameter
-            # 3 at unit speed) so every schedule is trivially feasible.
-            for txn in new_txns:
-                self._horizon = max(self._horizon, t) + 10
-                self.sim.commit_schedule(txn, self._horizon)
-
-    g = _graph()
-    wl = OnlineWorkload.bernoulli(g, 6, 2, rate=0.3, horizon=8, seed=7)
-    rec = Recorder()
-    sim = Simulator(g, rec, wl)
-    sim.run()
-    arrivals = {}
-    for t, tids in rec.seen:
-        if tids:
-            arrivals.setdefault(t, []).extend(tids)
-    expected = {}
-    for tid, r in sim.trace.txns.items():
-        expected.setdefault(r.gen_time, []).append(tid)
-    assert {t: sorted(v) for t, v in arrivals.items()} == {
-        t: sorted(v) for t, v in expected.items()
-    }
-
-
-def test_dirty_set_shrinks_to_pending():
-    """Dirty tids delivered to ``on_deltas`` are always a subset of the
-    currently unscheduled pending set (never retired/scheduled noise)."""
-    from repro.core.greedy import GreedyScheduler
-
-    class Checker(GreedyScheduler):
-        def on_deltas(self, t, deltas):
-            pending = set(self.sim.pending._unscheduled)
-            assert set(deltas.dirty) <= pending, (t, deltas.dirty, pending)
-            super().on_deltas(t, deltas)
-
-    g = _graph()
-    wl = OnlineWorkload.bernoulli(g, 6, 2, rate=0.3, horizon=10, seed=3)
-    sim = Simulator(g, Checker(), wl)
-    sim.run()
-    assert sim.trace.txns
+    run_under_oracle(name, seed=seed, mode="service")

@@ -108,6 +108,19 @@ class TestScheduleSemantics:
         for rec in res.trace.txns.values():
             assert rec.exec_time > rec.gen_time
 
+    @pytest.mark.parametrize("order", ["arrival", "degree"])
+    @given(inst=random_instances())
+    @SETTINGS
+    def test_lemma1_color_within_bound(self, order, inst):
+        """Lemma 1 on every generated instance: each color is at most the
+        logged ``1 + 2*Gamma' - Delta'`` bound of its constraint set."""
+        g, wl = inst
+        sched = GreedyScheduler(order=order)
+        run_experiment(g, sched, wl)
+        assert len(sched.color_log) == wl.num_txns
+        for tid, color, bound in sched.color_log:
+            assert color <= bound, (tid, color, bound)
+
     @given(random_instances())
     @SETTINGS
     def test_greedy_schedules_at_generation_step(self, inst):

@@ -104,6 +104,37 @@ DOCUMENTED_API = {
 }
 
 
+# "module:qualname" -> attributes removed with the second scheduler entry
+# point and the pre-SimConfig compatibility paths (docs/api.md,
+# "Migration"); they must not creep back as a second way to do one thing
+REMOVED_API = {
+    "repro.core.dependency": ["StepDeltas"],
+    "repro.core.base:OnlineScheduler": ["on_deltas", "wants_deltas"],
+    "repro.core.dependency:DependencyTracker": [
+        "drain_deltas", "note_scheduled", "note_topology_change",
+    ],
+    "repro.core.pending:PendingIndex": [
+        "constraints", "invalidate_all", "unscheduled_count",
+    ],
+    "repro.sim.config:SimConfig": ["with_overrides", "hop_motion"],
+}
+
+
+@pytest.mark.parametrize("owner", sorted(REMOVED_API))
+def test_removed_symbols_stay_removed(owner):
+    module, _, qualname = owner.partition(":")
+    obj = importlib.import_module(module)
+    if qualname:
+        obj = getattr(obj, qualname)
+    present = [n for n in REMOVED_API[owner] if hasattr(obj, n)]
+    assert not present, f"{owner} regained removed symbols: {present}"
+
+
+def test_compat_module_removed():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro._compat")
+
+
 @pytest.mark.parametrize("module", sorted(DOCUMENTED_API))
 def test_documented_symbols_importable(module):
     mod = importlib.import_module(module)

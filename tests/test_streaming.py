@@ -256,6 +256,37 @@ class TestDeterminismAcrossJobs:
         assert a.to_dict() == b.to_dict()
         assert a.schedulers[0].probes != c.schedulers[0].probes
 
+    def test_frontier_censored_at_range_top(self, tmp_path, capsys):
+        """Greedy survives λ = lam_max on clique:6, so its λ* is the range
+        edge: flagged censored and rendered as a lower bound; fifo fails
+        inside the range and is bracketed."""
+        from repro.cli import main
+
+        wl = WorkloadSpec.make("poisson-open", seed=11)
+        kwargs = dict(lam_min=0.1, lam_max=2.0, rounds=3, until=150, warmup=40)
+        res = stability_frontier("clique:6", ["fifo", "greedy"], wl, **kwargs)
+        by_name = {s.scheduler: s.to_dict() for s in res.schedulers}
+        assert by_name["greedy"]["censored"] is True
+        assert by_name["greedy"]["lambda_star"] == 2.0
+        assert len(by_name["greedy"]["probes"]) == 1  # probe sequence unchanged
+        assert by_name["fifo"]["censored"] is False
+        assert by_name["fifo"]["lambda_star"] < 2.0
+
+        report = tmp_path / "frontier.md"
+        assert main([
+            "frontier", "--topology", "clique:6", "--schedulers", "fifo,greedy",
+            "--lam-min", "0.1", "--lam-max", "2.0", "--rounds", "3",
+            "--until", "150", "--warmup", "40", "--seed", "11",
+            "--report", str(report),
+        ]) == 0
+        rows = {
+            line.split("|")[0].strip(): line
+            for line in report.read_text().splitlines() if "|" in line
+        }
+        assert "≥ 2.0" in rows["greedy"]
+        assert "≥" not in rows["fifo"]
+        capsys.readouterr()
+
     def test_frontier_finds_fifo_below_greedy(self):
         wl = WorkloadSpec.make("poisson-open", seed=7)
         res = stability_frontier(
@@ -306,11 +337,12 @@ class TestApiRedesign:
         ],
         ids=["object_speed_den", "departure_policy", "probe"],
     )
-    def test_shorthand_kwargs_warn(self, kwargs):
+    def test_shorthand_kwargs_rejected(self, kwargs):
+        """The engine knobs travel only inside ``config=SimConfig(...)``."""
         g = topologies.clique(6)
         wl = BatchWorkload.uniform(g, 5, 2, seed=0)
         name = next(iter(kwargs))
-        with pytest.warns(DeprecationWarning, match=name):
+        with pytest.raises(TypeError, match=name):
             run_experiment(g, GreedyScheduler(), wl, **kwargs)
 
     def test_replicate_reseeds_workload_spec(self):

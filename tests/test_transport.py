@@ -5,8 +5,8 @@ Pillars:
 * **Byte-identity** — ``DirectTransport`` (explicitly selected) matches
   the default-config goldens; the hop-motion and link-capacity goldens
   pin the congestion transports against the pre-refactor engine.
-* **Legacy mapping** — ``hop_motion=True`` and ``transport="hop"`` (and a
-  bare ``HopTransport()`` instance) are the same simulator.
+* **Selection** — ``transport="hop"`` and a bare ``HopTransport()``
+  instance are the same simulator.
 * **Composition** — capacity knobs wrap the selected base transport in
   decorators, validated against bad combinations.
 """
@@ -99,12 +99,6 @@ def test_link_capacity_byte_identical_to_golden():
     assert _dumps(trace) == _golden("golden_linkcap_line12.json")
 
 
-def test_legacy_hop_motion_equals_transport_string():
-    a, _ = _hop_sim(SimConfig(hop_motion=True))
-    b, _ = _hop_sim(SimConfig(transport="hop"))
-    assert _dumps(a.run()) == _dumps(b.run())
-
-
 def test_transport_instance_equals_string():
     a, _ = _hop_sim(SimConfig(transport=HopTransport()))
     b, _ = _hop_sim(SimConfig(transport="hop"))
@@ -113,8 +107,7 @@ def test_transport_instance_equals_string():
 
 def test_transport_kwarg_on_simulator():
     g = topologies.line(4)
-    sim = Simulator(g, GreedyScheduler(), transport="hop")
-    assert sim.hop_motion is True
+    sim = Simulator(g, GreedyScheduler(), config=SimConfig(transport="hop"))
     assert sim.config.transport_kind == "hop"
     assert isinstance(sim.transport, HopTransport)
 
@@ -124,8 +117,8 @@ class TestBuildAndCompose:
         t = build_transport(SimConfig())
         assert isinstance(t, DirectTransport) and t.kind == "direct"
 
-    def test_legacy_flag_selects_hop(self):
-        t = build_transport(SimConfig(hop_motion=True))
+    def test_hop_string_selects_hop(self):
+        t = build_transport(SimConfig(transport="hop"))
         assert isinstance(t, HopTransport) and t.kind == "hop"
 
     def test_capacity_decorators_wrap_outermost_egress(self):
@@ -179,16 +172,12 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             SimConfig(transport="direct", link_capacity=1)
 
-    def test_direct_conflicts_with_hop_motion(self):
-        with pytest.raises(WorkloadError):
-            SimConfig(transport="direct", hop_motion=True)
+    def test_none_transport_rejected(self):
+        with pytest.raises(WorkloadError, match="None"):
+            SimConfig(transport=None)
 
     def test_capacities_must_be_positive(self):
         with pytest.raises(WorkloadError):
             SimConfig(node_egress_capacity=0)
         with pytest.raises(WorkloadError):
             SimConfig(transport="hop", link_capacity=0)
-
-    def test_hop_string_with_legacy_flag_is_consistent(self):
-        cfg = SimConfig(transport="hop", hop_motion=True)
-        assert cfg.transport_kind == "hop"
