@@ -56,6 +56,26 @@ def test_perf_metric_mst(benchmark):
 
 
 @pytest.mark.benchmark(group="E19-primitives")
+def test_perf_metric_mst_huge_grid(benchmark):
+    # Nine points on n = 10^4 nodes: the cost must follow the points, not
+    # n.  Each round gets a fresh graph, so no distance row is warm from
+    # an earlier round (the 12x12 case above fits every row in the oracle
+    # row cache and would hide a per-row cost).
+    nodes = list(range(17, 10_000, 1_237))
+    graphs = []
+
+    def fresh():
+        graphs.append(topologies.grid([100, 100]))
+        return (graphs[-1], nodes), {}
+
+    result = benchmark.pedantic(
+        lambda g, pts: g.metric_mst_weight(pts), setup=fresh, rounds=20, iterations=1
+    )
+    assert result > 0
+    assert not any(g._oracle_rows for g in graphs), "metric MST built an O(n) row"
+
+
+@pytest.mark.benchmark(group="E19-primitives")
 def test_perf_padded_decomposition(benchmark):
     g = topologies.grid([8, 8])
 

@@ -18,6 +18,12 @@ Bounds implemented (DESIGN.md S12):
   at least ``l - 1`` moves of at least the minimum pairwise distance.
   This is dominated by the MST bound but is exposed separately because
   Theorem 3's analysis is phrased in terms of ``l_max``.
+* **reader bound** — a copy cannot reach a reader faster than the direct
+  distance from the object's position.
+
+:func:`object_bound` is the one per-object formula (object-MST plus
+reader bound); the batch and live-set bounds, and the ratio sweep in
+:mod:`repro.analysis.ratios`, all take their max over objects of it.
 """
 
 from __future__ import annotations
@@ -50,15 +56,39 @@ def object_load_bound(graph: Graph, requester_homes: Sequence[NodeId], speed: in
     return speed * (len(homes) - 1) * min_d
 
 
-def _reader_bound(
-    graph: Graph, pos: NodeId, reader_homes: Sequence[NodeId], speed: int
+def object_bound(
+    graph: Graph,
+    pos: NodeId,
+    writer_homes: Sequence[NodeId],
+    reader_homes: Sequence[NodeId],
+    speed: int = 1,
 ) -> Time:
-    """Readers receive copies, which travel independently; still, data at
+    """Lower bound from one object at ``pos``: the object-MST bound over
+    its writers' homes, and the direct distance to each reader.
+
+    Readers receive copies, which travel independently; still, data at
     ``pos`` cannot reach a reader faster than the direct distance (any
-    relay through the moving master obeys the triangle inequality)."""
-    if not reader_homes:
-        return 0
-    return speed * max(graph.distance(pos, h) for h in reader_homes)
+    relay through the moving master obeys the triangle inequality).
+    Homes may repeat.
+    """
+    bound = object_mst_bound(graph, pos, writer_homes, speed)
+    if reader_homes:
+        bound = max(bound, speed * max(graph.distance(pos, h) for h in reader_homes))
+    return bound
+
+
+def _homes_by_object(
+    txns: Sequence[Transaction],
+) -> Tuple[Dict[ObjectId, List[NodeId]], Dict[ObjectId, List[NodeId]]]:
+    """Per object, the homes of its writers and of its readers."""
+    writers: Dict[ObjectId, List[NodeId]] = {}
+    readers: Dict[ObjectId, List[NodeId]] = {}
+    for txn in txns:
+        for oid in txn.objects:
+            writers.setdefault(oid, []).append(txn.home)
+        for oid in txn.reads:
+            readers.setdefault(oid, []).append(txn.home)
+    return writers, readers
 
 
 def batch_lower_bound(
@@ -69,22 +99,17 @@ def batch_lower_bound(
 ) -> Time:
     """Lower bound on the makespan of a batch problem.
 
-    Max over objects of the object-MST bound over its *writers* plus the
-    direct-distance bound for its readers, clamped to 1 (any non-empty
-    schedule needs at least one step in the synchronous model).
+    Max over objects of :func:`object_bound` at the initial placement,
+    clamped to 1 (any non-empty schedule needs at least one step in the
+    synchronous model).
     """
-    writers: Dict[ObjectId, List[NodeId]] = {}
-    readers: Dict[ObjectId, List[NodeId]] = {}
-    for txn in txns:
-        for oid in txn.objects:
-            writers.setdefault(oid, []).append(txn.home)
-        for oid in txn.reads:
-            readers.setdefault(oid, []).append(txn.home)
+    writers, readers = _homes_by_object(txns)
     best: Time = 1 if txns else 0
     for oid in set(writers) | set(readers):
-        pos = placement[oid]
-        best = max(best, object_mst_bound(graph, pos, writers.get(oid, []), speed))
-        best = max(best, _reader_bound(graph, pos, readers.get(oid, []), speed))
+        best = max(
+            best,
+            object_bound(graph, placement[oid], writers.get(oid, ()), readers.get(oid, ()), speed),
+        )
     return best
 
 
@@ -96,19 +121,15 @@ def live_set_lower_bound(
 ) -> Time:
     """Lower bound on ``t*``: the optimal time to finish the currently
     live transactions given current object positions (Section II's
-    competitive-ratio denominator)."""
-    writers: Dict[ObjectId, List[NodeId]] = {}
-    readers: Dict[ObjectId, List[NodeId]] = {}
-    for txn in live_txns:
-        for oid in txn.objects:
-            writers.setdefault(oid, []).append(txn.home)
-        for oid in txn.reads:
-            readers.setdefault(oid, []).append(txn.home)
+    competitive-ratio denominator).  Objects without a position are
+    skipped."""
+    writers, readers = _homes_by_object(live_txns)
     best: Time = 1 if live_txns else 0
     for oid in set(writers) | set(readers):
         pos = object_positions.get(oid)
-        if pos is None:
-            continue
-        best = max(best, object_mst_bound(graph, pos, writers.get(oid, []), speed))
-        best = max(best, _reader_bound(graph, pos, readers.get(oid, []), speed))
+        if pos is not None:
+            best = max(
+                best,
+                object_bound(graph, pos, writers.get(oid, ()), readers.get(oid, ()), speed),
+            )
     return best

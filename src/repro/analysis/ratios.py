@@ -11,16 +11,25 @@ object is at a leg's source until it departs and at its destination from
 arrival; while mid-leg we charge its destination (the same artificial-node
 convention the schedulers use, which can only *lower* the bound — again
 the conservative direction).
+
+:func:`competitive_ratio` makes one time-ordered sweep: a record joins the
+live set at its generation time and leaves through a heap keyed by its
+execution time, while per-object multisets of writer and reader homes
+follow it incrementally.  A sample costs the per-object bounds of the
+live objects only — ``sum_o s_o^2`` distance queries for ``s_o`` distinct
+homes of object ``o`` — with no rescan of the records and no O(n)
+distance row.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._types import NodeId, ObjectId, Time
-from repro.analysis.lower_bounds import batch_lower_bound, live_set_lower_bound
+from repro.analysis.lower_bounds import batch_lower_bound, object_bound
 from repro.network.graph import Graph
 from repro.sim.trace import ExecutionTrace
 from repro.sim.transactions import Transaction
@@ -57,6 +66,25 @@ class _ObjectTimeline:
         return self._nodes[i]
 
 
+def _count(
+    homes_by_obj: Dict[ObjectId, Dict[NodeId, int]],
+    oids: Iterable[ObjectId],
+    home: NodeId,
+    delta: int,
+) -> None:
+    """Add ``delta`` to the multiplicity of ``home`` in each object's home
+    multiset, dropping entries that reach zero."""
+    for oid in oids:
+        homes = homes_by_obj.setdefault(oid, {})
+        count = homes.get(home, 0) + delta
+        if count:
+            homes[home] = count
+        else:
+            del homes[home]
+            if not homes:
+                del homes_by_obj[oid]
+
+
 def competitive_ratio(
     graph: Graph,
     trace: ExecutionTrace,
@@ -65,7 +93,11 @@ def competitive_ratio(
 ) -> Tuple[float, List[RatioPoint]]:
     """Overall ratio ``sup_t r_S(t)`` and the per-time samples.
 
-    ``sample_times`` defaults to all distinct generation times.
+    ``sample_times`` defaults to all distinct generation times.  Points
+    come back in ``sample_times`` order, one per occurrence (duplicates
+    repeat); a time with an empty live set yields no point.  A record is
+    live at ``t`` when ``gen_time <= t < exec_time``, or when
+    ``gen_time == t == exec_time``.
     """
     records = list(trace.txns.values())
     if not records:
@@ -79,19 +111,49 @@ def competitive_ratio(
     }
     if sample_times is None:
         sample_times = sorted({r.gen_time for r in records})
-    points: List[RatioPoint] = []
-    for t in sample_times:
-        live = [r for r in records if r.gen_time <= t < r.exec_time or (r.gen_time == t == r.exec_time)]
+    speed = trace.object_speed_den
+    arrivals = sorted(records, key=lambda r: r.gen_time)
+    entered = 0
+    # Heap of the live records as (exec_time, generated at exec_time,
+    # index into arrivals).
+    live: List[Tuple[Time, bool, int]] = []
+    writers: Dict[ObjectId, Dict[NodeId, int]] = {}
+    readers: Dict[ObjectId, Dict[NodeId, int]] = {}
+    samples: Dict[Time, Tuple[int, Time, Time]] = {}
+    for t in sorted(set(sample_times)):
+        while entered < len(arrivals) and arrivals[entered].gen_time <= t:
+            r = arrivals[entered]
+            heapq.heappush(live, (r.exec_time, r.gen_time == r.exec_time, entered))
+            _count(writers, r.objects, r.home, 1)
+            _count(readers, r.reads, r.home, 1)
+            entered += 1
+        # Retire what executed before t, and what executed at t unless it
+        # was also generated at t.
+        while live:
+            exec_time, instant, i = live[0]
+            if exec_time > t or (exec_time == t and instant):
+                break
+            heapq.heappop(live)
+            r = arrivals[i]
+            _count(writers, r.objects, r.home, -1)
+            _count(readers, r.reads, r.home, -1)
         if not live:
             continue
-        positions = {oid: tl.position(t) for oid, tl in timelines.items()}
-        live_txns = [
-            Transaction(r.tid, r.home, frozenset(r.objects), r.gen_time, reads=frozenset(r.reads))
-            for r in live
-        ]
-        lb = live_set_lower_bound(graph, positions, live_txns, trace.object_speed_den)
-        worst = max(r.exec_time - t for r in live)
-        points.append(RatioPoint(t, len(live), worst, lb))
+        lb: Time = 1
+        for oid in writers.keys() | readers.keys():
+            timeline = timelines.get(oid)
+            if timeline is not None:
+                lb = max(lb, object_bound(
+                    graph, timeline.position(t),
+                    list(writers.get(oid, ())), list(readers.get(oid, ())), speed,
+                ))
+        samples[t] = (len(live), max(live)[0], lb)
+    points: List[RatioPoint] = []
+    for t in sample_times:
+        sample = samples.get(t)
+        if sample is not None:
+            n_live, last_exec, lb = sample
+            points.append(RatioPoint(t, n_live, last_exec - t, lb))
     overall = max((p.ratio for p in points), default=0.0)
     return overall, points
 

@@ -8,13 +8,14 @@ toolbox (centrality, drawing, generators) applies to scheduling studies.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Tuple
 
 from repro._types import NodeId
 from repro.errors import GraphError
 from repro.network.graph import Graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def from_networkx(
@@ -47,6 +48,8 @@ def from_networkx(
 
 def to_networkx(graph: Graph) -> "nx.Graph":
     """Export to a networkx graph with ``weight`` edge attributes."""
+    import networkx as nx
+
     nxg = nx.Graph(name=graph.name)
     nxg.add_nodes_from(graph.nodes())
     for u, v, w in graph.edges():

@@ -429,22 +429,30 @@ class Graph:
             self._check_node(p)
         if len(pts) <= 1:
             return 0
-        # Prim's algorithm on the metric closure; O(s^2) distance lookups.
-        in_tree = {pts[0]}
-        best: Dict[NodeId, Weight] = {}
-        d0 = self.distances_from(pts[0])
-        for p in pts[1:]:
-            best[p] = d0[p]
+        # Prim's algorithm over the subset alone: each tree node makes one
+        # subset-distance query, O(s^2) distances in all and no O(n) row.
+        # ``rest`` stays in sorted order and the first minimum wins, so
+        # edges join in a fixed order and float sums are reproducible.
+        rest = pts[1:]
+        best = self._distances_to(pts[0], rest)
         total: Weight = 0
-        while best:
-            nxt = min(best, key=lambda p: best[p])
-            total += best.pop(nxt)
-            in_tree.add(nxt)
-            dn = self.distances_from(nxt)
-            for p in list(best):
-                if dn[p] < best[p]:
-                    best[p] = dn[p]
+        while rest:
+            i = best.index(min(best))
+            total += best.pop(i)
+            nxt = rest.pop(i)
+            if rest:
+                dn = self._distances_to(nxt, rest)
+                best = [d if d < b else b for b, d in zip(best, dn)]
         return total
+
+    def _distances_to(self, src: NodeId, targets: Sequence[NodeId]) -> List[Weight]:
+        """Distances from ``src`` to each of ``targets``: one vectorized
+        oracle query, or lookups in the cached Dijkstra row."""
+        orc = self.oracle
+        if orc is not None:
+            return orc.distances(src, targets)
+        row = self._sssp(src)
+        return [row[v] for v in targets]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph({self.name!r}, n={self._n}, m={self.num_edges()})"

@@ -53,8 +53,9 @@ class DistanceOracle:
     :meth:`eccentricity` / :meth:`diameter` with closed forms).  ``kind``
     is a short human-readable tag surfaced by ``repro topo info``.
 
-    The base-class ``row`` builds one source row by n ``distance`` calls;
-    subclasses may override with a vectorized fill when profitable.
+    :meth:`distances` answers one source against a list of targets (one
+    ``distance`` call each); subclasses may override it with a vectorized
+    fill when profitable.  :meth:`row` is its ``range(n)`` special case.
     """
 
     kind = "oracle"
@@ -73,10 +74,20 @@ class DistanceOracle:
         # Generic O(n^2); every bundled oracle overrides it.
         return max(self.eccentricity(u) for u in range(self.n))
 
-    def row(self, src: NodeId) -> List[Weight]:
-        """Distances from ``src`` to every node (a fresh list)."""
+    def distances(self, src: NodeId, targets: Sequence[NodeId]) -> List[Weight]:
+        """Distances from ``src`` to each of ``targets``, in order (a fresh
+        list): the query for a few points, O(len(targets)), no row."""
         d = self.distance
-        return [d(src, v) for v in range(self.n)]
+        return [d(src, v) for v in targets]
+
+    def row(self, src: NodeId) -> List[Weight]:
+        """Distances from ``src`` to every node (a fresh O(n) list).
+
+        The only full-row entry point, behind :meth:`Graph.distances_from`;
+        callers that probe a few entries use :meth:`distances` or
+        :class:`OracleRow` instead.
+        """
+        return self.distances(src, range(self.n))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n})"
@@ -86,9 +97,10 @@ class OracleRow:
     """Lazy one-source distance row: ``row[v] == distance(src, v)``.
 
     A drop-in stand-in for the list returned by
-    :meth:`Graph.distances_from` at hot sites that hoist a row but only
-    probe a few entries — each probe is one O(1) closed-form query and no
-    O(n) list is ever built.
+    :meth:`Graph.distances_from` at hot sites that hoist a row but probe
+    entries one at a time — each probe is one closed-form ``distance``
+    call and no O(n) list is ever built.  When the targets are known up
+    front, one :meth:`DistanceOracle.distances` call answers them all.
     """
 
     __slots__ = ("_oracle", "_src")
@@ -119,10 +131,9 @@ class CliqueOracle(DistanceOracle):
     def diameter(self) -> Weight:
         return self.w if self.n > 1 else 0
 
-    def row(self, src: NodeId) -> List[Weight]:
-        out = [self.w] * self.n
-        out[src] = 0
-        return out
+    def distances(self, src: NodeId, targets: Sequence[NodeId]) -> List[Weight]:
+        w = self.w
+        return [0 if v == src else w for v in targets]
 
 
 class LineOracle(DistanceOracle):
@@ -143,9 +154,9 @@ class LineOracle(DistanceOracle):
     def diameter(self) -> Weight:
         return (self.n - 1) * self.w
 
-    def row(self, src: NodeId) -> List[Weight]:
+    def distances(self, src: NodeId, targets: Sequence[NodeId]) -> List[Weight]:
         w = self.w
-        return [abs(src - v) * w for v in range(self.n)]
+        return [abs(src - v) * w for v in targets]
 
 
 class RingOracle(DistanceOracle):

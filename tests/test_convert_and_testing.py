@@ -1,5 +1,9 @@
 """Tests for networkx interop and the public testing helpers."""
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
@@ -48,6 +52,25 @@ class TestNetworkxInterop:
         nxg = to_networkx(g)
         assert nxg[0][1]["weight"] == 2
         assert nxg.number_of_edges() == 3
+
+    def test_package_import_leaves_networkx_unloaded(self):
+        # networkx is imported only by the interop functions that use it;
+        # a fresh interpreter running the CLI and analysis imports must
+        # not pay for it.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        code = (
+            "import sys, repro, repro.cli, repro.analysis; "
+            "print('networkx' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestRandomInstance:

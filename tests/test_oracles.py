@@ -6,9 +6,16 @@ Dijkstra path for every node pair — the byte-identity of golden traces
 rests on it.  ``diameter`` and ``eccentricity`` must agree too (the
 closed forms replaced a max-over-rows scan that was O(n^2) even on a
 clique).
+
+``Graph.metric_mst_weight`` is checked against two independent
+references: Kruskal over the pairwise distances of the oracle-free copy
+(exact for integer weights), and the row-based Prim it replaced (bit for
+bit, which matters for float weights).
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.network import topologies
 from repro.network.graph import Graph
@@ -124,3 +131,167 @@ def test_neighborhood_alias():
 
 def test_estimate_matrix_bytes_monotone():
     assert estimate_matrix_bytes(10_000) > estimate_matrix_bytes(1_000) > 0
+
+
+def test_distances_match_distance_for_every_oracle():
+    for g in CASES:
+        orc = g.oracle
+        targets = [v for v in range(g.num_nodes) for _ in range(2)][::-1]
+        for src in range(g.num_nodes):
+            assert orc.distances(src, targets) == [orc.distance(src, v) for v in targets]
+            assert orc.row(src) == orc.distances(src, range(g.num_nodes))
+
+
+# ---------------------------------------------------------------------------
+# metric MST: subset Prim vs independent references
+# ---------------------------------------------------------------------------
+
+MST_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def kruskal_mst_weight(g: Graph, subset) -> float:
+    """Kruskal over every pairwise distance of the subset."""
+    pts = sorted(set(subset))
+    pairs = sorted(
+        (g.distance(u, v), u, v) for i, u in enumerate(pts) for v in pts[i + 1:]
+    )
+    parent = {p: p for p in pts}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    total = 0
+    for w, u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            total += w
+    return total
+
+
+def row_prim_mst_weight(self: Graph, subset) -> float:
+    """``Graph.metric_mst_weight`` as it was before it ran over the subset
+    alone (one full ``distances_from`` row per tree node), verbatim."""
+    pts = sorted(set(subset))
+    for p in pts:
+        self._check_node(p)
+    if len(pts) <= 1:
+        return 0
+    # Prim's algorithm on the metric closure; O(s^2) distance lookups.
+    in_tree = {pts[0]}
+    best = {}
+    d0 = self.distances_from(pts[0])
+    for p in pts[1:]:
+        best[p] = d0[p]
+    total = 0
+    while best:
+        nxt = min(best, key=lambda p: best[p])
+        total += best.pop(nxt)
+        in_tree.add(nxt)
+        dn = self.distances_from(nxt)
+        for p in list(best):
+            if dn[p] < best[p]:
+                best[p] = dn[p]
+    return total
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Every topology that attaches a closed-form oracle, small sizes."""
+    kind = draw(st.sampled_from(
+        ["clique", "line", "ring", "grid", "torus", "hypercube", "cluster", "star", "tree"]
+    ))
+    w = draw(st.integers(1, 3))
+    if kind == "clique":
+        g = topologies.clique(draw(st.integers(1, 9)), w)
+    elif kind == "line":
+        g = topologies.line(draw(st.integers(1, 12)), w)
+    elif kind == "ring":
+        g = topologies.ring(draw(st.integers(3, 12)), w)
+    elif kind == "grid":
+        g = topologies.grid(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)), w)
+    elif kind == "torus":
+        g = topologies.torus(draw(st.lists(st.integers(3, 5), min_size=1, max_size=2)), w)
+    elif kind == "hypercube":
+        g = topologies.hypercube(draw(st.integers(1, 4)), w)
+    elif kind == "cluster":
+        beta = draw(st.integers(1, 4))
+        g = topologies.cluster_graph(
+            draw(st.integers(1, 4)), beta, draw(st.integers(beta, beta + 4))
+        )
+    elif kind == "star":
+        g = topologies.star_graph(draw(st.integers(1, 4)), draw(st.integers(1, 4)), w)
+    else:
+        g = topologies.tree(draw(st.integers(1, 3)), draw(st.integers(0, 3)), w)
+    assert g.oracle is not None, g.name
+    return g
+
+
+@st.composite
+def oracle_free_graphs(draw):
+    """Graphs on the Dijkstra path: random geometric (integer weights)
+    and float-weighted cliques, lines and grids.  Grid distances tie a
+    lot, so the order Prim adds its edges in shows in the float sum."""
+    kind = draw(st.sampled_from(["random_geometric", "clique", "line", "grid"]))
+    n = draw(st.integers(1, 12))
+    w = draw(st.sampled_from([0.1, 0.3, 0.7, 1 / 3, 2.5]))
+    if kind == "random_geometric":
+        g = topologies.random_geometric(n, 0.5, seed=draw(st.integers(0, 10_000)))
+    elif kind == "clique":
+        g = topologies.clique(n, w)
+    elif kind == "line":
+        g = topologies.line(n, w)
+    else:
+        g = topologies.grid([draw(st.integers(1, 4)), draw(st.integers(1, 4))], w)
+    assert g.oracle is None, g.name
+    return g
+
+
+def subsets(g: Graph):
+    return st.lists(st.integers(0, g.num_nodes - 1), max_size=10)
+
+
+@given(data=st.data())
+@MST_SETTINGS
+def test_metric_mst_exact_on_oracle_topologies(data):
+    g = data.draw(oracle_graphs())
+    pts = data.draw(subsets(g))
+    got = g.metric_mst_weight(pts)
+    assert not g._oracle_rows and not g._dist, "MST built a distance row"
+    assert got == kruskal_mst_weight(g.copy(oracle=False), pts)
+    ref = row_prim_mst_weight(g, pts)
+    assert got == ref and type(got) is type(ref)
+
+
+@given(data=st.data())
+@MST_SETTINGS
+def test_metric_mst_bit_identical_without_oracle(data):
+    g = data.draw(oracle_free_graphs())
+    pts = data.draw(subsets(g))
+    got = g.metric_mst_weight(pts)
+    ref = row_prim_mst_weight(g.copy(), pts)
+    assert got == ref and type(got) is type(ref), (got, ref)
+    if all(isinstance(w, int) for _, _, w in g.edges()):
+        assert got == kruskal_mst_weight(g, pts)
+
+
+@pytest.mark.parametrize(
+    "dims, w, pts",
+    [([3, 3], 0.1, [1, 2, 3, 7, 8]), ([4, 3], 0.7, [1, 3, 5, 8, 9]), ([4, 4], 1 / 3, [0, 1, 6, 8, 9])],
+)
+def test_metric_mst_float_edge_order_is_pinned(dims, w, pts):
+    # Several candidates tie at the minimum here; which one Prim takes
+    # first fixes the order of the float additions, so the last bits.
+    g = topologies.grid(dims, w)
+    assert g.metric_mst_weight(pts) == row_prim_mst_weight(g.copy(), pts)
+
+
+def test_metric_mst_builds_no_row_at_scale():
+    g = topologies.grid([100, 100])
+    pts = [0, 9_999, 5_050, 123, 7_777, 4_242, 8_080, 31]
+    assert g.metric_mst_weight(pts) == kruskal_mst_weight(g, pts)
+    assert not g._oracle_rows and not g._dist
